@@ -474,10 +474,12 @@ mod tests {
     fn one_worker_shared_matches_one_worker_private() {
         // The 1-worker shared pool and the 1-worker private pool pay
         // comparable standing reservations: the same 256 MiB directory
-        // span, plus the shared facility's small copy-on-first-touch
-        // overlay and its frame pool counted at capacity (the private
-        // worker instead parks only the frames it actually touched, so
-        // the shared figure sits at most one pool-capacity above).
+        // span, plus — on the shared side only — the frame pool counted
+        // at capacity and the worker's private copy-on-first-touch
+        // overlay (its chunk root, plus any materialized chunks). The
+        // private worker instead parks only the frames it actually
+        // touched, so the shared figure sits at most one pool capacity
+        // plus one overlay above it.
         let src = r#"
             int main(int n) {
                 long* p = (long*)malloc(4 * sizeof(long));
@@ -494,13 +496,20 @@ mod tests {
         let shared_program = shared_engine.compile(src).unwrap();
         let private = serve(&private_engine, &private_program, "main", &requests, 1)
             .reservation_total_bytes();
-        let shared =
-            serve(&shared_engine, &shared_program, "main", &requests, 1).reservation_total_bytes();
+        let shared_report = serve(&shared_engine, &shared_program, "main", &requests, 1);
+        let shared = shared_report.reservation_total_bytes();
+        // Reset returned every frame to the pool, so the worker's
+        // private portion is its overlay alone. The program stores no
+        // pointer to memory, so no directory chunk materializes.
+        let worker = &shared_report.per_worker[0];
+        let overlay = worker.reservation_bytes - worker.reservation_shared_bytes;
+        assert_eq!(overlay, crate::SharedShadowReservation::overlay_bytes(0));
         assert!(shared >= private, "both pools span the same directory");
         assert!(
-            shared - private <= crate::SharedShadowReservation::frame_pool_capacity_bytes(),
-            "1-worker shared ({shared}) should be within one pool capacity of \
-             private ({private})"
+            shared - private
+                <= crate::SharedShadowReservation::frame_pool_capacity_bytes() + overlay,
+            "1-worker shared ({shared}) should be within one pool capacity plus one \
+             overlay ({overlay}) of private ({private})"
         );
     }
 

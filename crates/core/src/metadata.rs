@@ -110,7 +110,8 @@ pub trait MetadataFacility {
     /// the standing reservation a fleet pays once per worker, not the
     /// transient per-run growth. For the paged shadow this is dominated
     /// by the flat directory (the analogue of the paper's `mmap`-reserved
-    /// shadow region); for the hash table, by the bucket array. The
+    /// shadow region); for the hash table, by its bucket heads (counted
+    /// at their full span) plus the chain slab it reuses. The
     /// ROADMAP's shared-reservation follow-on needs this number measured
     /// per worker to size the win of sharing one reservation across a
     /// pool.
@@ -129,11 +130,13 @@ pub trait MetadataFacility {
     /// Forgets every entry, restoring the facility to its
     /// just-constructed state while keeping its expensive allocations
     /// (the paged shadow's directory reservation, the hash table's
-    /// bucket array) alive for the next program run. This is the §5.1
-    /// disjoint-metadata payoff a session-oriented embedding exploits:
-    /// program state and metadata state reset independently, so
-    /// back-to-back runs on one [`Instance`](crate::Instance) skip the
-    /// per-machine setup cost entirely.
+    /// bucket heads and chain slab) alive for the next program run. Its
+    /// cost scales with what the run touched, not with the reservation.
+    /// This is the §5.1 disjoint-metadata payoff a session-oriented
+    /// embedding exploits: program state and metadata state reset
+    /// independently, so back-to-back runs on one
+    /// [`Instance`](crate::Instance) skip the per-machine setup cost
+    /// entirely.
     fn reset(&mut self);
 }
 
@@ -367,6 +370,17 @@ impl SharedShadowReservation {
         FRAME_POOL_CAP * (SHADOW_PAGE_SLOTS as usize) * std::mem::size_of::<u128>()
     }
 
+    /// Host bytes one worker's copy-on-first-touch overlay owns
+    /// privately with `chunks` directory chunks materialized: the fixed
+    /// chunk root (one slot per 32 KiB span of the directory) plus
+    /// 32 KiB per materialized chunk. This is the per-worker directory
+    /// cost a shared facility pays on top of the once-per-process
+    /// [`shared_bytes`](Self::shared_bytes).
+    pub(crate) fn overlay_bytes(chunks: usize) -> usize {
+        DIR_CHUNKS * std::mem::size_of::<Option<Box<[u32]>>>()
+            + chunks * DIR_CHUNK_ENTRIES * std::mem::size_of::<u32>()
+    }
+
     fn stash_frame(&self, frame: Box<[u128]>) {
         let mut pool = self
             .frame_pool
@@ -441,13 +455,7 @@ impl ShadowDirectory for CowDirectory {
     }
 
     fn private_bytes(&self) -> usize {
-        std::mem::size_of_val::<[Option<Box<[u32]>>]>(&self.root)
-            + self
-                .root
-                .iter()
-                .flatten()
-                .map(|c| c.len() * std::mem::size_of::<u32>())
-                .sum::<usize>()
+        SharedShadowReservation::overlay_bytes(self.root.iter().flatten().count())
     }
 
     fn shared_bytes(&self) -> usize {
@@ -935,9 +943,38 @@ impl MetadataFacility for ShadowHashMapFacility {
 /// Collisions chain; each extra probe costs 3 instructions and touches
 /// another table line, which is how this organization loses to the shadow
 /// space on pointer-dense workloads.
+///
+/// ## Host layout: O(touched), not O(table)
+///
+/// The simulated table has `1 << log2_buckets` buckets, but a run only
+/// touches a few of them, so the host layout pays per touched bucket:
+///
+/// * `heads` holds one `u32` per bucket — the bucket's chain id + 1, 0
+///   for "empty". It is allocated zeroed, so its span stays virtual
+///   until a bucket is first assigned a chain, exactly like the paged
+///   shadow's directory.
+/// * `chains` is a slab of chain `Vec`s. A bucket's first live store
+///   assigns it the next slab entry; chain order under `push` and
+///   `swap_remove` is the chain order of a per-bucket `Vec`, so probe
+///   depths — and with them the cost model and simulated addresses —
+///   do not depend on the host layout.
+/// * `owners` maps each assigned chain id back to its bucket, so
+///   [`reset`](MetadataFacility::reset) clears only the chains this run
+///   assigned and zeroes only their heads. The cleared chains keep their
+///   capacity and are handed out again in the next run: a warm instance
+///   replaying the same program reuses the same chains and never asks
+///   the host allocator for anything.
 #[derive(Debug)]
 pub struct HashTableFacility {
-    buckets: Vec<Vec<(u64, Meta)>>, // (slot-tag, meta)
+    /// Chain id + 1 per bucket; 0 = no chain assigned since the last
+    /// reset.
+    heads: Vec<u32>,
+    /// Chain slab of `(slot-tag, meta)` entries; ids below
+    /// `owners.len()` are assigned, the rest are empty spares kept for
+    /// reuse.
+    chains: Vec<Vec<(u64, Meta)>>,
+    /// Bucket owning each assigned chain (index = chain id).
+    owners: Vec<u32>,
     mask: u64,
     live: usize,
     /// Total probes beyond the first (collision statistics).
@@ -947,10 +984,18 @@ pub struct HashTableFacility {
 impl HashTableFacility {
     /// Creates a table with `1 << log2_buckets` buckets (default 20 —
     /// "sizing the table large enough to keep average utilization low").
+    /// The bucket heads are zeroed virtual memory: nothing is committed
+    /// until a bucket is first written.
     pub fn new(log2_buckets: u32) -> Self {
+        assert!(
+            log2_buckets < 32,
+            "bucket indices and chain ids are u32: 2^{log2_buckets} buckets is too many"
+        );
         let n = 1usize << log2_buckets;
         HashTableFacility {
-            buckets: vec![Vec::new(); n],
+            heads: vec![0; n],
+            chains: Vec::new(),
+            owners: Vec::new(),
             mask: n as u64 - 1,
             live: 0,
             extra_probes: 0,
@@ -959,6 +1004,28 @@ impl HashTableFacility {
 
     fn bucket_addr(&self, b: u64, depth: u64) -> u64 {
         HASHTABLE_BASE + b * 24 + depth * (self.mask + 1) * 24
+    }
+
+    /// The chain of bucket `b`; empty when the bucket has none assigned.
+    #[inline]
+    fn chain(&self, b: u64) -> &[(u64, Meta)] {
+        match self.heads[b as usize] {
+            0 => &[],
+            id => &self.chains[(id - 1) as usize],
+        }
+    }
+
+    /// Assigns bucket `b` the next chain of the slab (reusing a spare
+    /// chain's capacity when one is left from an earlier run) and
+    /// returns its id.
+    fn assign_chain(&mut self, b: u64) -> usize {
+        let id = self.owners.len();
+        if id == self.chains.len() {
+            self.chains.push(Vec::new());
+        }
+        self.owners.push(b as u32);
+        self.heads[b as usize] = id as u32 + 1;
+        id
     }
 }
 
@@ -977,16 +1044,17 @@ impl MetadataFacility for HashTableFacility {
         let slot = addr >> 3;
         let b = slot & self.mask;
         sink.record(9, self.bucket_addr(b, 0));
-        let chain = &self.buckets[b as usize];
+        let chain = self.chain(b);
         for (depth, (tag, meta)) in chain.iter().enumerate() {
             if *tag == slot {
+                let meta = *meta;
                 if depth > 0 {
                     sink.add_cost(3 * depth as u64);
                     self.extra_probes += depth as u64;
                     let addr = self.bucket_addr(b, depth as u64);
                     sink.touch(addr);
                 }
-                return *meta;
+                return meta;
             }
         }
         let extra = chain.len().saturating_sub(1) as u64;
@@ -999,7 +1067,14 @@ impl MetadataFacility for HashTableFacility {
         let slot = addr >> 3;
         let b = slot & self.mask;
         sink.record(9, self.bucket_addr(b, 0));
-        let chain = &mut self.buckets[b as usize];
+        let id = match self.heads[b as usize] {
+            // No chain: a NULL store has nothing to delete and pays
+            // nothing beyond the first probe.
+            0 if meta.is_null() => return,
+            0 => self.assign_chain(b),
+            id => (id - 1) as usize,
+        };
+        let chain = &mut self.chains[id];
         if let Some(pos) = chain.iter().position(|(tag, _)| *tag == slot) {
             if pos > 0 {
                 sink.add_cost(3 * pos as u64);
@@ -1024,22 +1099,30 @@ impl MetadataFacility for HashTableFacility {
         self.live
     }
 
-    /// Bucket array (kept across resets) plus chain capacities.
+    /// Bucket heads at capacity (the full span is reserved, even though
+    /// only touched buckets are ever committed) plus the chain slab —
+    /// its headers, every chain's capacity and the owner list — which
+    /// is kept across resets.
     fn reservation_bytes(&self) -> usize {
-        self.buckets.capacity() * std::mem::size_of::<Vec<(u64, Meta)>>()
+        self.heads.capacity() * std::mem::size_of::<u32>()
+            + self.chains.capacity() * std::mem::size_of::<Vec<(u64, Meta)>>()
             + self
-                .buckets
+                .chains
                 .iter()
                 .map(|c| c.capacity() * std::mem::size_of::<(u64, Meta)>())
                 .sum::<usize>()
+            + self.owners.capacity() * std::mem::size_of::<u32>()
     }
 
-    /// Empties every chain in place — the bucket array keeps its
-    /// capacity, so a reused table skips re-sizing on the next run.
+    /// Empties only the chains this run assigned and zeroes only their
+    /// bucket heads — O(touched buckets), not O(table). The chains keep
+    /// their capacity as slab spares for the next run.
     fn reset(&mut self) {
-        for chain in &mut self.buckets {
-            chain.clear();
+        for (id, &b) in self.owners.iter().enumerate() {
+            self.chains[id].clear();
+            self.heads[b as usize] = 0;
         }
+        self.owners.clear();
         self.live = 0;
         self.extra_probes = 0;
     }
@@ -1204,6 +1287,93 @@ mod tests {
         assert_eq!(paged.live_entries(), oracle.live_entries());
         assert_eq!(shared.live_entries(), oracle.live_entries());
         assert_eq!(ht.live_entries(), oracle.live_entries());
+    }
+
+    /// One seeded churn over `slots` pointer slots of a hash table —
+    /// stores (a third of them NULL deletes, many overwriting live
+    /// slots) with every fourth op a load — logging each op's cost,
+    /// touched table addresses and result.
+    fn hash_churn(ht: &mut HashTableFacility, seed: u64, slots: u64) -> Vec<(u64, Vec<u64>, Meta)> {
+        let mut state = seed;
+        (0..1500u64)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let addr = ((state >> 33) % slots) * 8;
+                let mut sink = ScratchSink::new();
+                let result = if i % 4 == 3 {
+                    ht.load(addr, &mut sink)
+                } else {
+                    let meta = if i % 3 == 0 {
+                        Meta::NULL
+                    } else {
+                        Meta {
+                            base: seed ^ i,
+                            bound: (seed ^ i) + 64,
+                        }
+                    };
+                    ht.store(addr, meta, &mut sink);
+                    meta
+                };
+                (sink.cost, sink.touched, result)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn hash_reset_matches_a_fresh_table() {
+        // Reset reuses the chain slab, so the same churn after a reset
+        // must cost, touch and return exactly what it does on a table
+        // that never ran anything — on collision-heavy tables, where
+        // chain order (push / swap_remove) decides every probe depth.
+        // The first churn covers either a few buckets (so the second
+        // one assigns reused chains to buckets the first never touched)
+        // or all of them.
+        for log2 in 2..=6 {
+            for first_slots in [3, 256] {
+                let mut reused = HashTableFacility::new(log2);
+                hash_churn(&mut reused, 0xA11CE, first_slots);
+                reused.reset();
+                assert_eq!(reused.live_entries(), 0);
+                assert_eq!(reused.extra_probes, 0);
+                let after_reset = hash_churn(&mut reused, 0xB0B, 256);
+                let mut fresh = HashTableFacility::new(log2);
+                let from_fresh = hash_churn(&mut fresh, 0xB0B, 256);
+                assert!(
+                    after_reset == from_fresh,
+                    "2^{log2} buckets, first churn over {first_slots} slots: \
+                     churn after reset diverged from a fresh table"
+                );
+                assert!(fresh.extra_probes > 0, "2^{log2} buckets: no collisions");
+                assert_eq!(reused.extra_probes, fresh.extra_probes);
+                assert_eq!(reused.live_entries(), fresh.live_entries());
+            }
+        }
+    }
+
+    #[test]
+    fn hash_reset_reservation_settles() {
+        // The chain slab is reused, not regrown: once two alternating
+        // churns have both run, every further round returns reset to the
+        // same idle reservation.
+        let mut ht = HashTableFacility::new(4);
+        let idle: Vec<usize> = (0..5)
+            .map(|_| {
+                for (seed, slots) in [(0xA11CE, 3), (0xB0B, 256)] {
+                    hash_churn(&mut ht, seed, slots);
+                    ht.reset();
+                    assert_eq!(ht.live_entries(), 0);
+                }
+                ht.reservation_bytes()
+            })
+            .collect();
+        assert!(idle.windows(2).all(|w| w[0] == w[1]), "{idle:?}");
+        assert_eq!(
+            HashTableFacility::new(20).reservation_bytes(),
+            (1 << 20) * std::mem::size_of::<u32>(),
+            "an untouched table reserves exactly its bucket heads, at full span"
+        );
     }
 
     #[test]

@@ -166,3 +166,41 @@ fn warm_shared_facility_run_allocates_nothing() {
          the host allocator: {delta} allocations"
     );
 }
+
+#[test]
+fn warm_hash_table_run_allocates_nothing() {
+    // The hash table hands each touched bucket a chain from a slab that
+    // reset clears but keeps, so a warmed instance replaying the same
+    // program gets the same chains back at the capacity they already
+    // have. Both probes — PROBE (clamped overflows only) and
+    // SHARED_PROBE (pointer stores into a guarded array, i.e. chain
+    // pushes on every iteration) — must ask the host allocator for
+    // nothing, reset included.
+    let _guard = MEASURE.lock().expect("no poisoned measurements");
+    let engine = Engine::new()
+        .facility(Facility::HashTable)
+        .policy(ViolationPolicy::Hardened);
+    for src in [PROBE, SHARED_PROBE] {
+        let program = engine.compile(src).expect("compiles");
+        let mut instance = engine.instantiate(&program);
+
+        // Warmup: assigns and grows the bucket chains, maps stack pages.
+        let warm = instance.run("main", &[64]);
+        assert_eq!(warm.ret(), Some(1), "{:?}", warm.outcome);
+        instance.drain_evidence();
+
+        let delta = min_delta_over_attempts(|| {
+            let before = allocs();
+            instance.reset();
+            let again = instance.run("main", &[64]);
+            let delta = allocs() - before;
+            assert_eq!(again.ret(), Some(1), "{:?}", again.outcome);
+            delta
+        });
+        assert_eq!(
+            delta, 0,
+            "warm hash-table replay (reset included) must not touch the \
+             host allocator: {delta} allocations"
+        );
+    }
+}
