@@ -220,10 +220,12 @@ fn percentile(sorted_ns: &[u64], p: u32) -> u64 {
 /// Serves `requests` — each an argument for `entry` — on a pool of
 /// `workers` threads sharing `program`, and aggregates the results.
 ///
-/// Each worker thread instantiates its own machine from the shared
-/// `&Program` and pulls request indices off a shared atomic cursor
-/// until the stream is drained (work-stealing by competition, so a slow
-/// request on one worker never blocks the rest of the stream). Workers
+/// The calling thread serves as worker 0 and `workers - 1` scoped
+/// threads serve the rest. Each worker instantiates its own machine
+/// from the shared `&Program` on the thread that drives it and pulls
+/// request indices off a shared atomic cursor until the stream is
+/// drained (work-stealing by competition, so a slow request on one
+/// worker never blocks the rest of the stream). Workers
 /// reset between requests exactly as a serial loop would; the returned
 /// [`FleetReport::results`] are sorted by stream index so callers can
 /// compare them against a serial oracle element-by-element.
@@ -240,68 +242,74 @@ pub fn serve(
     let cursor = AtomicUsize::new(0);
     let start = Instant::now();
 
-    // Only `&Engine`, `&Program`, `&AtomicUsize`, and `&[i64]` cross
-    // the thread boundary — all `Sync`. Each worker builds its own
-    // `Instance` inside the thread it runs on.
-    let mut worker_outputs: Vec<(WorkerReport, Vec<RequestResult>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut instance = engine.instantiate(program);
-                    let mut results = Vec::new();
-                    let mut report = WorkerReport {
-                        worker,
-                        served: 0,
-                        checks: 0,
-                        violations: 0,
-                        traps: 0,
-                        evidence: 0,
-                        evidence_overflow: 0,
-                        reservation_bytes: 0,
-                        reservation_shared_bytes: 0,
-                    };
-                    loop {
-                        let index = cursor.fetch_add(1, Ordering::Relaxed);
-                        if index >= requests.len() {
-                            break;
-                        }
-                        let t0 = Instant::now();
-                        let observation = observe(&mut instance, entry, requests[index]);
-                        let latency_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        report.served += 1;
-                        report.checks += observation.check_count;
-                        report.violations += observation.violation_count;
-                        report.traps +=
-                            u64::from(matches!(observation.outcome, Outcome::Trapped(_)));
-                        report.evidence += observation.evidence.len() as u64;
-                        report.evidence_overflow += observation.evidence_overflow;
-                        results.push(RequestResult {
-                            index,
-                            worker,
-                            latency_ns,
-                            observation,
-                        });
-                    }
-                    // Reset before measuring: the report captures the
-                    // *standing* (idle) reservation a warm worker holds
-                    // between streams, not the last request's transient
-                    // page footprint.
-                    instance.reset();
-                    report.reservation_bytes = instance.metadata_reservation_bytes();
-                    report.reservation_shared_bytes = instance.metadata_shared_reservation_bytes();
-                    (report, results)
-                })
-            })
+    // One worker's whole stream: build its `Instance`, pull requests
+    // until the cursor runs past the end, then report. Only `&Engine`,
+    // `&Program`, `&AtomicUsize`, and `&[i64]` cross the thread boundary
+    // — all `Sync`. Each worker builds its `Instance` on the thread that
+    // drives it.
+    let run_worker = |worker: usize| {
+        let mut instance = engine.instantiate(program);
+        let mut results = Vec::new();
+        let mut report = WorkerReport {
+            worker,
+            served: 0,
+            checks: 0,
+            violations: 0,
+            traps: 0,
+            evidence: 0,
+            evidence_overflow: 0,
+            reservation_bytes: 0,
+            reservation_shared_bytes: 0,
+        };
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= requests.len() {
+                break;
+            }
+            let t0 = Instant::now();
+            let observation = observe(&mut instance, entry, requests[index]);
+            let latency_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            report.served += 1;
+            report.checks += observation.check_count;
+            report.violations += observation.violation_count;
+            report.traps += u64::from(matches!(observation.outcome, Outcome::Trapped(_)));
+            report.evidence += observation.evidence.len() as u64;
+            report.evidence_overflow += observation.evidence_overflow;
+            results.push(RequestResult {
+                index,
+                worker,
+                latency_ns,
+                observation,
+            });
+        }
+        // Reset before measuring: the report captures the *standing*
+        // (idle) reservation a warm worker holds between streams, not
+        // the last request's transient page footprint.
+        instance.reset();
+        report.reservation_bytes = instance.metadata_reservation_bytes();
+        report.reservation_shared_bytes = instance.metadata_shared_reservation_bytes();
+        (report, results)
+    };
+
+    // Workers 1.. get a scoped thread each; the caller serves as worker
+    // 0, so a pool of one spawns nothing. Outputs come back in worker
+    // order.
+    let worker_outputs: Vec<(WorkerReport, Vec<RequestResult>)> = std::thread::scope(|scope| {
+        let run_worker = &run_worker;
+        let handles: Vec<_> = (1..workers)
+            .map(|worker| scope.spawn(move || run_worker(worker)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet worker panicked"))
-            .collect()
+        let mut outputs = Vec::with_capacity(workers);
+        outputs.push(run_worker(0));
+        outputs.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("fleet worker panicked")),
+        );
+        outputs
     });
     let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
-    worker_outputs.sort_by_key(|(report, _)| report.worker);
     let mut per_worker = Vec::with_capacity(workers);
     let mut results = Vec::with_capacity(requests.len());
     for (report, mut part) in worker_outputs {

@@ -110,11 +110,11 @@ pub trait MetadataFacility {
     /// the standing reservation a fleet pays once per worker, not the
     /// transient per-run growth. For the paged shadow this is dominated
     /// by the flat directory (the analogue of the paper's `mmap`-reserved
-    /// shadow region); for the hash table, by its bucket heads (counted
-    /// at their full span) plus the chain slab it reuses. The
-    /// ROADMAP's shared-reservation follow-on needs this number measured
-    /// per worker to size the win of sharing one reservation across a
-    /// pool.
+    /// shadow region); for the hash table, by its head directory, the
+    /// head chunks its runs have committed and the chain slab it reuses.
+    /// The ROADMAP's shared-reservation follow-on needs this number
+    /// measured per worker to size the win of sharing one reservation
+    /// across a pool.
     fn reservation_bytes(&self) -> usize;
 
     /// The portion of [`reservation_bytes`](Self::reservation_bytes)
@@ -130,8 +130,9 @@ pub trait MetadataFacility {
     /// Forgets every entry, restoring the facility to its
     /// just-constructed state while keeping its expensive allocations
     /// (the paged shadow's directory reservation, the hash table's
-    /// bucket heads and chain slab) alive for the next program run. Its
-    /// cost scales with what the run touched, not with the reservation.
+    /// committed head chunks and chain slab) alive for the next program
+    /// run. Its cost scales with what the run touched, not with the
+    /// reservation.
     /// This is the §5.1 disjoint-metadata payoff a session-oriented
     /// embedding exploits: program state and metadata state reset
     /// independently, so back-to-back runs on one
@@ -949,10 +950,15 @@ impl MetadataFacility for ShadowHashMapFacility {
 /// The simulated table has `1 << log2_buckets` buckets, but a run only
 /// touches a few of them, so the host layout pays per touched bucket:
 ///
-/// * `heads` holds one `u32` per bucket — the bucket's chain id + 1, 0
-///   for "empty". It is allocated zeroed, so its span stays virtual
-///   until a bucket is first assigned a chain, exactly like the paged
-///   shadow's directory.
+/// * `heads` is a directory of head chunks, each 1024 `u32`s (4 KiB)
+///   holding the bucket's chain id + 1, 0 for "empty". A chunk is
+///   allocated on the first chain assignment in its span and kept
+///   across resets, so a warm run allocates nothing and a 2^20-bucket
+///   table commits a few 4 KiB chunks instead of 4 MiB of heads. (A
+///   flat zeroed `vec![0; 1 << 20]` is not lazy in practice: once glibc's
+///   dynamic mmap threshold has risen past 4 MiB the span comes from
+///   recycled heap memory, which calloc must memset on every
+///   instantiate.)
 /// * `chains` is a slab of chain `Vec`s. A bucket's first live store
 ///   assigns it the next slab entry; chain order under `push` and
 ///   `swap_remove` is the chain order of a per-bucket `Vec`, so probe
@@ -966,9 +972,10 @@ impl MetadataFacility for ShadowHashMapFacility {
 ///   the host allocator for anything.
 #[derive(Debug)]
 pub struct HashTableFacility {
-    /// Chain id + 1 per bucket; 0 = no chain assigned since the last
-    /// reset.
-    heads: Vec<u32>,
+    /// Head chunks by `bucket >> HEAD_CHUNK_BITS`, `None` until a chain
+    /// is first assigned in the span. Within a chunk: chain id + 1 per
+    /// bucket; 0 = no chain assigned since the last reset.
+    heads: Vec<Option<Box<[u32; HEAD_CHUNK]>>>,
     /// Chain slab of `(slot-tag, meta)` entries; ids below
     /// `owners.len()` are assigned, the rest are empty spares kept for
     /// reuse.
@@ -981,11 +988,16 @@ pub struct HashTableFacility {
     pub extra_probes: u64,
 }
 
+/// log2 of the bucket heads per lazily committed head chunk.
+const HEAD_CHUNK_BITS: u32 = 10;
+/// Bucket heads per head chunk: 1024 `u32`s, 4 KiB.
+const HEAD_CHUNK: usize = 1 << HEAD_CHUNK_BITS;
+
 impl HashTableFacility {
     /// Creates a table with `1 << log2_buckets` buckets (default 20 —
     /// "sizing the table large enough to keep average utilization low").
-    /// The bucket heads are zeroed virtual memory: nothing is committed
-    /// until a bucket is first written.
+    /// Only the head directory is allocated; a head chunk is committed
+    /// when a bucket in its span is first assigned a chain.
     pub fn new(log2_buckets: u32) -> Self {
         assert!(
             log2_buckets < 32,
@@ -993,12 +1005,33 @@ impl HashTableFacility {
         );
         let n = 1usize << log2_buckets;
         HashTableFacility {
-            heads: vec![0; n],
+            heads: vec![None; n.div_ceil(HEAD_CHUNK)],
             chains: Vec::new(),
             owners: Vec::new(),
             mask: n as u64 - 1,
             live: 0,
             extra_probes: 0,
+        }
+    }
+
+    /// Bytes of bucket heads a table of `buckets` buckets holds with
+    /// `chunks` head chunks committed: the directory plus the chunks.
+    pub(crate) fn head_bytes(buckets: usize, chunks: usize) -> usize {
+        buckets.div_ceil(HEAD_CHUNK) * std::mem::size_of::<Option<Box<[u32; HEAD_CHUNK]>>>()
+            + chunks * HEAD_CHUNK * std::mem::size_of::<u32>()
+    }
+
+    /// Head chunks committed so far (kept across resets).
+    fn head_chunks(&self) -> usize {
+        self.heads.iter().flatten().count()
+    }
+
+    /// Chain id + 1 of bucket `b`; 0 when it has none assigned.
+    #[inline]
+    fn head(&self, b: u64) -> u32 {
+        match &self.heads[(b >> HEAD_CHUNK_BITS) as usize] {
+            Some(chunk) => chunk[b as usize & (HEAD_CHUNK - 1)],
+            None => 0,
         }
     }
 
@@ -1009,22 +1042,29 @@ impl HashTableFacility {
     /// The chain of bucket `b`; empty when the bucket has none assigned.
     #[inline]
     fn chain(&self, b: u64) -> &[(u64, Meta)] {
-        match self.heads[b as usize] {
+        match self.head(b) {
             0 => &[],
             id => &self.chains[(id - 1) as usize],
         }
     }
 
     /// Assigns bucket `b` the next chain of the slab (reusing a spare
-    /// chain's capacity when one is left from an earlier run) and
-    /// returns its id.
+    /// chain's capacity when one is left from an earlier run, and
+    /// committing the bucket's head chunk if this is the first chain in
+    /// its span) and returns its id.
     fn assign_chain(&mut self, b: u64) -> usize {
         let id = self.owners.len();
         if id == self.chains.len() {
             self.chains.push(Vec::new());
         }
         self.owners.push(b as u32);
-        self.heads[b as usize] = id as u32 + 1;
+        let chunk = self.heads[(b >> HEAD_CHUNK_BITS) as usize].get_or_insert_with(|| {
+            vec![0; HEAD_CHUNK]
+                .into_boxed_slice()
+                .try_into()
+                .expect("a head chunk is HEAD_CHUNK heads")
+        });
+        chunk[b as usize & (HEAD_CHUNK - 1)] = id as u32 + 1;
         id
     }
 }
@@ -1067,7 +1107,7 @@ impl MetadataFacility for HashTableFacility {
         let slot = addr >> 3;
         let b = slot & self.mask;
         sink.record(9, self.bucket_addr(b, 0));
-        let id = match self.heads[b as usize] {
+        let id = match self.head(b) {
             // No chain: a NULL store has nothing to delete and pays
             // nothing beyond the first probe.
             0 if meta.is_null() => return,
@@ -1099,12 +1139,11 @@ impl MetadataFacility for HashTableFacility {
         self.live
     }
 
-    /// Bucket heads at capacity (the full span is reserved, even though
-    /// only touched buckets are ever committed) plus the chain slab —
-    /// its headers, every chain's capacity and the owner list — which
-    /// is kept across resets.
+    /// The head directory and every committed head chunk, plus the
+    /// chain slab — its headers, every chain's capacity and the owner
+    /// list. All of it is kept across resets.
     fn reservation_bytes(&self) -> usize {
-        self.heads.capacity() * std::mem::size_of::<u32>()
+        Self::head_bytes(self.mask as usize + 1, self.head_chunks())
             + self.chains.capacity() * std::mem::size_of::<Vec<(u64, Meta)>>()
             + self
                 .chains
@@ -1116,11 +1155,15 @@ impl MetadataFacility for HashTableFacility {
 
     /// Empties only the chains this run assigned and zeroes only their
     /// bucket heads — O(touched buckets), not O(table). The chains keep
-    /// their capacity as slab spares for the next run.
+    /// their capacity as slab spares for the next run, and the head
+    /// chunks stay committed.
     fn reset(&mut self) {
         for (id, &b) in self.owners.iter().enumerate() {
             self.chains[id].clear();
-            self.heads[b as usize] = 0;
+            let chunk = self.heads[(b >> HEAD_CHUNK_BITS) as usize]
+                .as_mut()
+                .expect("an assigned bucket's head chunk is committed");
+            chunk[b as usize & (HEAD_CHUNK - 1)] = 0;
         }
         self.owners.clear();
         self.live = 0;
@@ -1371,9 +1414,41 @@ mod tests {
         assert!(idle.windows(2).all(|w| w[0] == w[1]), "{idle:?}");
         assert_eq!(
             HashTableFacility::new(20).reservation_bytes(),
-            (1 << 20) * std::mem::size_of::<u32>(),
-            "an untouched table reserves exactly its bucket heads, at full span"
+            HashTableFacility::head_bytes(1 << 20, 0),
+            "an untouched table reserves exactly its head directory"
         );
+    }
+
+    #[test]
+    fn hash_heads_commit_per_touched_chunk() {
+        let log2 = 20;
+        let mut ht = HashTableFacility::new(log2);
+        assert_eq!(ht.head_chunks(), 0, "a fresh table holds no chunk");
+        let meta = Meta {
+            base: 0x1000,
+            bound: 0x1040,
+        };
+        // Buckets in k = 3 distinct chunks (two buckets share chunk 0,
+        // one sits in chunk 5, one in the last chunk); bucket b is slot
+        // b, i.e. address 8 * b.
+        let last = (1u64 << log2) - 1;
+        let buckets = [0, 7, 5 * HEAD_CHUNK as u64 + 3, last];
+        let mut idle = Vec::new();
+        for _ in 0..3 {
+            for b in buckets {
+                ht.store(b * 8, meta, &mut NoopSink);
+            }
+            assert_eq!(ht.head_chunks(), 3, "k touched chunks commit exactly k");
+            ht.reset();
+            assert_eq!(ht.head_chunks(), 3, "reset keeps the committed chunks");
+            assert_eq!(ht.live_entries(), 0);
+            idle.push(ht.reservation_bytes());
+        }
+        assert!(idle.windows(2).all(|w| w[0] == w[1]), "{idle:?}");
+        assert!(idle[0] >= HashTableFacility::head_bytes(1 << log2, 3));
+        // A NULL store into an untouched chunk commits nothing.
+        ht.store(9 * HEAD_CHUNK as u64 * 8, Meta::NULL, &mut NoopSink);
+        assert_eq!(ht.head_chunks(), 3);
     }
 
     #[test]

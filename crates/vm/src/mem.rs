@@ -48,6 +48,34 @@ pub fn decode_fn_addr(addr: u64) -> Option<u32> {
     }
 }
 
+/// FNV-1a offset basis of [`Mem::content_hash`].
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Block size of the zero-run fold in [`Mem::content_hash`].
+const ZERO_BLOCK: usize = 64;
+// Pages split into whole blocks, so the fold sees every byte.
+const _: () = assert!((PAGE_SIZE as usize).is_multiple_of(ZERO_BLOCK));
+/// FNV-1a folds a zero byte as `h *= FNV_PRIME` (the xor is a no-op),
+/// so a block of [`ZERO_BLOCK`] zero bytes folds as one multiply by
+/// `FNV_PRIME^ZERO_BLOCK` (mod 2^64).
+const FNV_PRIME_ZERO_BLOCK: u64 = {
+    let mut p = 1u64;
+    let mut i = 0;
+    while i < ZERO_BLOCK {
+        p = p.wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    p
+};
+
+/// Folds `bytes` into the FNV-1a state `h`, one byte at a time.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
 /// An out-of-segment access (the simulated SIGSEGV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemFault {
@@ -391,23 +419,7 @@ impl Mem {
     /// the equality the whole-program differential suite asserts on
     /// final memory across metadata facilities.
     pub fn content_hash(&self) -> u64 {
-        let mut idxs: Vec<u64> = self.pages.keys().copied().collect();
-        idxs.sort_unstable();
-        // FNV-1a over (page index, page bytes).
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mix = |byte: u8, h: &mut u64| {
-            *h ^= byte as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for i in idxs {
-            for b in i.to_le_bytes() {
-                mix(b, &mut h);
-            }
-            for &b in self.store[self.pages[&i] as usize].iter() {
-                mix(b, &mut h);
-            }
-        }
-        h
+        self.digest(|_| true)
     }
 
     /// [`content_hash`](Self::content_hash) restricted to pages whose
@@ -416,24 +428,34 @@ impl Mem {
     /// an uninstrumented twin must reproduce (stack pages carry frame
     /// residue that legitimately differs across instrumentation).
     pub fn content_hash_range(&self, lo: u64, hi: u64) -> u64 {
-        let mut idxs: Vec<u64> = self
+        self.digest(|i| (lo / PAGE_SIZE..hi / PAGE_SIZE).contains(&i))
+    }
+
+    /// FNV-1a over (page index, page bytes) of every mapped page whose
+    /// index passes `keep`, in sorted page order. All-zero 64-byte
+    /// blocks — most of a typical image — fold in one multiply each
+    /// (see [`FNV_PRIME_ZERO_BLOCK`]); the digest is the byte-at-a-time
+    /// one all the same.
+    fn digest(&self, keep: impl Fn(u64) -> bool) -> u64 {
+        let mut pages: Vec<(u64, u32)> = self
             .pages
-            .keys()
-            .copied()
-            .filter(|&i| (lo / PAGE_SIZE..hi / PAGE_SIZE).contains(&i))
+            .iter()
+            .map(|(&i, &slot)| (i, slot))
+            .filter(|&(i, _)| keep(i))
             .collect();
-        idxs.sort_unstable();
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mix = |byte: u8, h: &mut u64| {
-            *h ^= byte as u64;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for i in idxs {
-            for b in i.to_le_bytes() {
-                mix(b, &mut h);
-            }
-            for &b in self.store[self.pages[&i] as usize].iter() {
-                mix(b, &mut h);
+        pages.sort_unstable();
+        let mut h = FNV_OFFSET;
+        for (i, slot) in pages {
+            h = fnv1a(h, &i.to_le_bytes());
+            let (blocks, _) = self.store[slot as usize].as_chunks::<ZERO_BLOCK>();
+            for block in blocks {
+                // A whole-array compare, not a byte fold: it compiles to
+                // a few vector compares per block.
+                h = if *block == [0; ZERO_BLOCK] {
+                    h.wrapping_mul(FNV_PRIME_ZERO_BLOCK)
+                } else {
+                    fnv1a(h, block)
+                };
             }
         }
         h
@@ -746,6 +768,110 @@ mod tests {
         let mut fresh = Mem::new();
         fresh.map_range(0x9000, 8);
         assert_eq!(m.content_hash(), fresh.content_hash());
+    }
+
+    /// The byte-at-a-time FNV-1a digest over (page index, page bytes)
+    /// in sorted page order — the definition `content_hash` and
+    /// `content_hash_range` must reproduce bit for bit.
+    fn reference_digest(m: &Mem, lo: u64, hi: u64) -> u64 {
+        let mut idxs: Vec<u64> = m
+            .pages
+            .keys()
+            .copied()
+            .filter(|&i| (lo / PAGE_SIZE..hi / PAGE_SIZE).contains(&i))
+            .collect();
+        idxs.sort_unstable();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mix = |byte: u8, h: &mut u64| {
+            *h ^= byte as u64;
+            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        for i in idxs {
+            for b in i.to_le_bytes() {
+                mix(b, &mut h);
+            }
+            for &b in m.store[m.pages[&i] as usize].iter() {
+                mix(b, &mut h);
+            }
+        }
+        h
+    }
+
+    /// Both digests equal the reference, whole-image and over ranges
+    /// that split the segments.
+    fn assert_digest_matches_reference(m: &Mem, what: &str) {
+        assert_eq!(
+            m.content_hash(),
+            reference_digest(m, 0, u64::MAX),
+            "{what}: content_hash"
+        );
+        for (lo, hi) in [
+            (0, FN_BASE),
+            (HEAP_BASE, u64::MAX),
+            (GLOBAL_BASE + PAGE_SIZE, STACK_BASE + 2 * PAGE_SIZE),
+            (STACK_BASE, STACK_BASE),
+        ] {
+            assert_eq!(
+                m.content_hash_range(lo, hi),
+                reference_digest(m, lo, hi),
+                "{what}: content_hash_range({lo:#x}, {hi:#x})"
+            );
+        }
+    }
+
+    #[test]
+    fn digest_matches_byte_at_a_time_reference() {
+        let mut zero = Mem::new();
+        zero.map_range(GLOBAL_BASE, 3 * PAGE_SIZE);
+        zero.map_range(STACK_BASE, PAGE_SIZE);
+        assert_digest_matches_reference(&zero, "all-zero pages");
+        assert_digest_matches_reference(&Mem::new(), "empty image");
+
+        let mut ones = Mem::new();
+        ones.map_range(HEAP_BASE, 2 * PAGE_SIZE);
+        for a in (HEAP_BASE..HEAP_BASE + 2 * PAGE_SIZE).step_by(8) {
+            ones.write_uint(a, 8, u64::MAX).expect("mapped");
+        }
+        assert_digest_matches_reference(&ones, "all-0xFF pages");
+
+        // One non-zero byte at the first, then at the last, byte of
+        // every 64-byte block.
+        for block in (0..PAGE_SIZE).step_by(ZERO_BLOCK) {
+            for (off, v) in [(block, 0x01), (block + ZERO_BLOCK as u64 - 1, 0x80)] {
+                let mut m = Mem::new();
+                m.map_range(GLOBAL_BASE, 2 * PAGE_SIZE);
+                m.write_uint(GLOBAL_BASE + PAGE_SIZE + off, 1, v)
+                    .expect("mapped");
+                assert_digest_matches_reference(&m, &format!("one byte at {off}"));
+            }
+        }
+
+        // Seeded random sparse pages, mapped in unsorted order across
+        // every segment.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for round in 0..20 {
+            let mut m = Mem::new();
+            let mut pages = Vec::new();
+            for _ in 0..1 + next() % 6 {
+                let base = [GLOBAL_BASE, HEAP_BASE, STACK_BASE][(next() % 3) as usize];
+                let page = base + (next() % 16) * PAGE_SIZE;
+                m.map_range(page, PAGE_SIZE);
+                pages.push(page);
+            }
+            for _ in 0..next() % 40 {
+                let page = pages[(next() as usize) % pages.len()];
+                let v = next();
+                m.write_uint(page + next() % PAGE_SIZE, 1, v)
+                    .expect("mapped");
+            }
+            assert_digest_matches_reference(&m, &format!("sparse round {round}"));
+        }
     }
 
     #[test]
